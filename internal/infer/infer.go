@@ -13,7 +13,10 @@
 //     proportional to (spike rate × density), the quantity the paper's
 //     Sec. IV-C cost model estimates analytically — the engine measures it
 //     directly as accumulated synaptic operations (SynOps);
-//   - LIF neurons keep per-timestep membrane state exactly as in training.
+//   - LIF neurons keep per-timestep membrane state exactly as in training;
+//   - the stages before the first spiking neuron carry no state and, under
+//     direct encoding, see the same input at every timestep, so they run
+//     once per request and their output feeds all T timesteps.
 //
 // A compiled Engine is an immutable plan and safe for concurrent use: all
 // per-request mutable state (activation buffers, event lists, membrane
@@ -83,7 +86,13 @@ type stage interface {
 // shareable plan. Concurrent callers are served from pooled Scratch arenas;
 // the only engine-level mutable state is the atomic SynOps roll-up.
 type Engine struct {
-	stages  []stage
+	stages []stage
+	// prefix is the length of the stateless prefix: the leading stages
+	// before the first spiking neuron (or residual block). Under direct
+	// encoding the prefix sees the same input at every timestep, so a pass
+	// runs it once, at t=0, and feeds its kept output to stages[prefix:] at
+	// every timestep (see inferScratch).
+	prefix  int
 	T       int
 	classes int
 	synOps  atomic.Int64
@@ -147,9 +156,11 @@ type QuantStats struct {
 func (e *Engine) QuantStats() *QuantStats { return e.quant }
 
 // SynOps returns the synaptic operations accumulated since the last
-// ResetStats: one op per (event × active synapse) accumulate. Requests
-// accumulate into their Scratch arena and roll up here atomically when they
-// finish, so concurrent callers never race on the counter.
+// ResetStats: one op per (event × active synapse) accumulate. It counts what
+// executes: the stateless prefix runs once per request, so its stages count
+// one timestep's worth, while every later stage counts all T timesteps.
+// Requests accumulate into their Scratch arena and roll up here atomically
+// when they finish, so concurrent callers never race on the counter.
 func (e *Engine) SynOps() int64 { return e.synOps.Load() }
 
 // ResetStats zeroes the SynOps counter.
@@ -299,15 +310,30 @@ func (e *Engine) analogStageNames() []string {
 	return names
 }
 
-// finish freezes the compiled plan: stages, the arena slot layout, and the
-// scratch pool serving Infer/InferBatch.
+// finish freezes the compiled plan: stages, the stateless prefix, the arena
+// slot layout, and the scratch pool serving Infer/InferBatch.
 func (e *Engine) finish(stages []stage, c *compiler) {
 	e.stages = stages
+	e.prefix = statelessPrefix(stages)
 	e.nAct, e.nLIF, e.nInt, e.nOps = c.nAct, c.nLIF, c.nInt, c.nOps
 	if e.quant != nil {
 		e.quant.Stages = e.stageDT
 	}
 	e.pool.New = func() any { return e.NewScratch() }
+}
+
+// statelessPrefix returns the number of leading stages that carry no state
+// across timesteps: everything before the first LIF, ParLIF or residual
+// stage. Each of them writes only its own arena slot and the stages after
+// them only read it, so the prefix's output stays intact for the whole pass.
+func statelessPrefix(stages []stage) int {
+	for i, s := range stages {
+		switch s.(type) {
+		case *lifStage, *parLIFStage, *residualStage:
+			return i
+		}
+	}
+	return len(stages)
 }
 
 // acquire draws a pooled arena; release returns it for reuse. With
@@ -576,8 +602,10 @@ func (c *compiler) compileResidual(b *snn.ResidualBlock) (stage, error) {
 }
 
 // Infer runs one sample (shape [C,H,W], direct encoding) through T
-// timesteps and returns the time-averaged output of the final stage. Safe
-// for concurrent use; the request is served from a pooled arena.
+// timesteps and returns the time-averaged output of the final stage. The
+// stateless prefix runs once, at t=0; the stateful remainder runs at every
+// timestep on its kept output. Safe for concurrent use; the request is
+// served from a pooled arena.
 func (e *Engine) Infer(sample *tensor.Tensor) []float32 {
 	sc := e.acquire()
 	out := e.InferScratch(sc, sample)
@@ -600,10 +628,14 @@ func (e *Engine) inferScratch(sc *Scratch, sample *tensor.Tensor, pt *PassTrace)
 	in := &sc.input
 	in.shape = appendShape(in.shape[:0], sample)
 	in.data = sample.Data
+	var pre *act
 	for t := 0; t < e.T; t++ {
 		faultPass.Fire()
-		in.refreshEvents()
-		cur := e.stepStages(sc, in)
+		if t == 0 {
+			in.refreshEvents()
+			pre = e.stepStages(sc, in, 0, e.prefix)
+		}
+		cur := e.stepStages(sc, pre, e.prefix, len(e.stages))
 		if len(sc.avg) == 0 {
 			sc.avg = growFloat32(sc.avg, len(cur.data))
 		}
@@ -664,6 +696,7 @@ func (e *Engine) inferBatch(samples []*tensor.Tensor, pt *PassTrace) [][]float32
 	}
 	scs := make([]*Scratch, n)
 	cur := make([]*act, n)
+	pre := make([]*act, n)
 	for i, s := range samples {
 		sc := e.acquire()
 		sc.begin()
@@ -688,19 +721,15 @@ func (e *Engine) inferBatch(samples []*tensor.Tensor, pt *PassTrace) [][]float32
 	}
 	for t := 0; t < e.T; t++ {
 		faultPass.Fire()
-		for i := range scs {
-			scs[i].input.refreshEvents()
-			cur[i] = &scs[i].input
-		}
-		if tracked {
-			e.stepStagesBatch(scs, cur, sc0)
-		} else {
-			for _, st := range e.stages {
-				for i := range scs {
-					cur[i] = st.step(scs[i], cur[i])
-				}
+		if t == 0 {
+			for i := range scs {
+				scs[i].input.refreshEvents()
+				pre[i] = &scs[i].input
 			}
+			e.stepBatch(scs, pre, sc0, tracked, 0, e.prefix)
 		}
+		copy(cur, pre)
+		e.stepBatch(scs, cur, sc0, tracked, e.prefix, len(e.stages))
 		for i, sc := range scs {
 			if len(sc.avg) == 0 {
 				sc.avg = growFloat32(sc.avg, len(cur[i].data))
@@ -734,6 +763,20 @@ func (e *Engine) inferBatch(samples []*tensor.Tensor, pt *PassTrace) [][]float32
 		e.release(sc)
 	}
 	return out
+}
+
+// stepBatch advances stages [lo,hi) one timestep for a coalesced pass,
+// stage-major. The telemetry-off path is the exact pre-telemetry loop.
+func (e *Engine) stepBatch(scs []*Scratch, cur []*act, sc0 *Scratch, tracked bool, lo, hi int) {
+	if tracked {
+		e.stepStagesBatch(scs, cur, sc0, lo, hi)
+		return
+	}
+	for _, st := range e.stages[lo:hi] {
+		for i := range scs {
+			cur[i] = st.step(scs[i], cur[i])
+		}
+	}
 }
 
 // appendShape appends a tensor's dimensions to dst without the copy

@@ -202,18 +202,20 @@ func (e *Engine) endPass(sc *Scratch, t0 time.Time, kind string, batch int, pt *
 	}
 }
 
-// stepStages advances every stage one timestep for a single-sample pass.
+// stepStages advances stages [lo,hi) one timestep for a single-sample pass
+// — the stateless prefix at t=0, the stateful remainder at every timestep.
 // The telemetry-off path is the exact pre-telemetry loop.
-func (e *Engine) stepStages(sc *Scratch, cur *act) *act {
+func (e *Engine) stepStages(sc *Scratch, cur *act, lo, hi int) *act {
 	t := e.tel
 	if t == nil {
-		for _, s := range e.stages {
+		for _, s := range e.stages[lo:hi] {
 			cur = s.step(sc, cur)
 		}
 		return cur
 	}
 	if sc.timed {
-		for i, s := range e.stages {
+		for i := lo; i < hi; i++ {
+			s := e.stages[i]
 			prevOps := sc.synOps
 			pprof.SetGoroutineLabels(t.labels[i])
 			start := time.Now()
@@ -224,22 +226,23 @@ func (e *Engine) stepStages(sc *Scratch, cur *act) *act {
 		pprof.SetGoroutineLabels(t.base)
 		return cur
 	}
-	for i, s := range e.stages {
+	for i := lo; i < hi; i++ {
 		prevOps := sc.synOps
-		cur = s.step(sc, cur)
+		cur = e.stages[i].step(sc, cur)
 		sc.stageOps[i] += sc.synOps - prevOps
 	}
 	return cur
 }
 
-// stepStagesBatch advances every stage one timestep for a coalesced pass,
-// accumulating the batch's telemetry on sc0: per-stage SynOps summed over
-// samples always, per-stage wall-clock around the stage-major inner loop
-// when the pass is traced. Only called when telemetry is active; the
-// telemetry-off batch loop stays inline in inferBatch.
-func (e *Engine) stepStagesBatch(scs []*Scratch, cur []*act, sc0 *Scratch) {
+// stepStagesBatch advances stages [lo,hi) one timestep for a coalesced
+// pass, accumulating the batch's telemetry on sc0: per-stage SynOps summed
+// over samples always, per-stage wall-clock around the stage-major inner
+// loop when the pass is traced. Only called when telemetry is active; the
+// telemetry-off batch loop is stepBatch's.
+func (e *Engine) stepStagesBatch(scs []*Scratch, cur []*act, sc0 *Scratch, lo, hi int) {
 	t := e.tel
-	for si, st := range e.stages {
+	for si := lo; si < hi; si++ {
+		st := e.stages[si]
 		var start time.Time
 		if sc0.timed {
 			pprof.SetGoroutineLabels(t.labels[si])

@@ -3,7 +3,6 @@ package layers
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"ndsnn/internal/metrics"
 	"ndsnn/internal/rng"
@@ -26,6 +25,7 @@ type Conv2d struct {
 	// they are binary spike tensors (see package tape). Backward replays it.
 	xs     tape.Stack
 	events eventTally
+	grad   gradStage
 }
 
 // NewConv2d constructs a convolution layer with Kaiming-normal weights.
@@ -340,66 +340,130 @@ func (l *Conv2d) EventStats() metrics.EventStats { return l.events.snapshot() }
 // ResetEventStats zeroes the event-path counters.
 func (l *Conv2d) ResetEventStats() { l.events.reset() }
 
+// gradStageFloats bounds a conv layer's per-sample gradient staging buffer
+// (see parallelGrad): a backward call stages up to this many floats of
+// per-sample parts at once, and always at least one sample per worker. The
+// layer keeps the buffer between calls, so it retains at most
+// max(gradStageFloats, GOMAXPROCS × per-sample part) floats.
+const gradStageFloats = 1 << 20
+
+// gradStage is a conv layer's reusable backward reduction buffer: per-sample
+// gradient parts and the running per-element sums they fold into.
+type gradStage struct {
+	parts, acc []float32
+}
+
+// gradDst is where one sample's weight-gradient contribution goes: a dense
+// dW tensor, or pattern-aligned SDDMM vals when sparseGrad, plus a bias
+// slice when the layer has one (nil otherwise). With add set they are the
+// running accumulator and the sample adds into them; otherwise they are the
+// sample's staged part, which the sample overwrites (dense dW and bias) or
+// adds into from zero (vals: the SDDMM kernels touch only some positions).
+type gradDst struct {
+	dw       *tensor.Tensor
+	vals, db []float32
+	add      bool
+}
+
 // parallelGrad is the shared batch-partition/gradient-reduction scaffolding
-// of the backward paths: it splits [0,b) across up to GOMAXPROCS workers,
-// hands each a private gradient accumulator (a pattern-aligned vals slice
-// when sparseGrad, else a dense dW tensor; plus a bias part when the layer
-// has one), and after all workers finish folds the parts into
-// Weight.Grad/Bias.Grad. body processes samples [lo,hi) and must only write
-// its own accumulators.
-func (l *Conv2d) parallelGrad(b, ckk int, wcsr *sparse.CSR, sparseGrad bool,
-	body func(lo, hi int, dwLocal *tensor.Tensor, valLocal, dbLocal []float32)) {
-	procs := runtime.GOMAXPROCS(0)
-	if procs > b {
-		procs = b
+// of the backward paths. body processes samples [lo,hi) — the partition
+// follows GOMAXPROCS — and writes each sample bi's weight-gradient
+// contribution sᵢ to dst(bi). Every element must sum its samples in
+// ascending order from zero, acc = ((0+s₀)+s₁)+…, and then Grad += acc:
+// exactly the order a single worker accumulates in, so weight and bias
+// gradients are bit-identical at any GOMAXPROCS. The chunk that starts a
+// group of samples adds straight into acc; every other sample stages its
+// part, and after the chunks finish the parts fold into acc per element in
+// sample order (acc is never −0, so a part holding sᵢ or 0+sᵢ folds the
+// same). Groups are bounded by gradStageFloats; neither the grouping nor the
+// chunking changes any element's order.
+func (l *Conv2d) parallelGrad(b, ckk, work int, wcsr *sparse.CSR, sparseGrad bool,
+	body func(lo, hi int, dst func(bi int) gradDst)) {
+	n := l.OutC * ckk
+	if sparseGrad {
+		n = wcsr.NNZ()
 	}
-	if procs < 1 {
-		procs = 1
-	}
-	chunk := (b + procs - 1) / procs
-	dwParts := make([]*tensor.Tensor, 0, procs)
-	valParts := make([][]float32, 0, procs)
-	dbParts := make([][]float32, 0, procs)
-	var wg sync.WaitGroup
-	for lo := 0; lo < b; lo += chunk {
-		hi := lo + chunk
-		if hi > b {
-			hi = b
-		}
-		var dwLocal *tensor.Tensor
-		var valLocal []float32
-		if sparseGrad {
-			valLocal = make([]float32, wcsr.NNZ())
-			valParts = append(valParts, valLocal)
-		} else {
-			dwLocal = tensor.New(l.OutC, ckk)
-			dwParts = append(dwParts, dwLocal)
-		}
-		var dbLocal []float32
-		if l.Bias != nil {
-			dbLocal = make([]float32, l.OutC)
-		}
-		dbParts = append(dbParts, dbLocal)
-		wg.Add(1)
-		go func(lo, hi int, dwLocal *tensor.Tensor, valLocal, dbLocal []float32) {
-			defer wg.Done()
-			body(lo, hi, dwLocal, valLocal, dbLocal)
-		}(lo, hi, dwLocal, valLocal, dbLocal)
-	}
-	wg.Wait()
-	gw := l.Weight.Grad.Reshape(l.OutC, ckk)
-	for _, part := range dwParts {
-		gw.AddInPlace(part)
-	}
-	for _, part := range valParts {
-		sparse.AddValsInto(gw, wcsr, part)
-	}
+	nb := 0
 	if l.Bias != nil {
-		for _, part := range dbParts {
-			for f, v := range part {
-				l.Bias.Grad.Data[f] += v
+		nb = l.OutC
+	}
+	per := n + nb
+	group := gradStageFloats / max(per, 1)
+	if procs := runtime.GOMAXPROCS(0); group < procs {
+		group = procs
+	}
+	if group > b {
+		group = b
+	}
+	st := &l.grad
+	if cap(st.parts) < group*per {
+		st.parts = make([]float32, group*per)
+	}
+	if cap(st.acc) < per {
+		st.acc = make([]float32, per)
+	}
+	acc := st.acc[:per]
+	clear(acc)
+	into := gradDst{add: true}
+	if sparseGrad {
+		into.vals = acc[:n]
+	} else {
+		into.dw = tensor.FromSlice(acc[:n], l.OutC, ckk)
+	}
+	if nb > 0 {
+		into.db = acc[n:]
+	}
+	toAcc := func(int) gradDst { return into }
+	for g0 := 0; g0 < b; g0 += group {
+		g1 := min(g0+group, b)
+		parts := st.parts[:(g1-g0)*per]
+		toPart := func(bi int) gradDst {
+			seg := parts[(bi-g0)*per : (bi-g0+1)*per]
+			var d gradDst
+			if sparseGrad {
+				d.vals = seg[:n]
+				clear(d.vals)
+			} else {
+				d.dw = tensor.FromSlice(seg[:n], l.OutC, ckk)
 			}
+			if nb > 0 {
+				d.db = seg[n:]
+			}
+			return d
 		}
+		staged := g0 // samples [staged, g1) wrote parts
+		tensor.ParallelFor(g1-g0, work, func(lo, hi int) {
+			if lo == 0 {
+				staged = g0 + hi
+				body(g0, g0+hi, toAcc)
+				return
+			}
+			body(g0+lo, g0+hi, toPart)
+		})
+		if staged == g1 {
+			continue
+		}
+		// Element-parallel fold; every element still sums its samples in
+		// ascending order.
+		tensor.ParallelFor(per, g1-staged, func(lo, hi int) {
+			dst := acc[lo:hi]
+			for i := staged - g0; i < g1-g0; i++ {
+				for j, v := range parts[i*per+lo : i*per+hi] {
+					dst[j] += v
+				}
+			}
+		})
+	}
+	if sparseGrad {
+		sparse.AddValsInto(l.Weight.Grad.Reshape(l.OutC, ckk), wcsr, acc[:n])
+	} else {
+		gw := l.Weight.Grad.Data
+		for j, v := range acc[:n] {
+			gw[j] += v
+		}
+	}
+	for f, v := range acc[n:] {
+		l.Bias.Grad.Data[f] += v
 	}
 }
 
@@ -433,7 +497,7 @@ func (l *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		kernelWorkers = sparse.EffectiveWorkers(wcsr.Rows)
 	}
 
-	l.parallelGrad(b, ckk, wcsr, sparseGrad, func(lo, hi int, dwLocal *tensor.Tensor, valLocal, dbLocal []float32) {
+	l.parallelGrad(b, ckk, l.OutC*ckk*p, wcsr, sparseGrad, func(lo, hi int, dst func(int) gradDst) {
 		col := make([]float32, ckk*p)
 		colT := tensor.FromSlice(col, ckk, p)
 		dcol := make([]float32, ckk*p)
@@ -447,6 +511,7 @@ func (l *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 		for bi := lo; bi < hi; bi++ {
+			g := dst(bi)
 			var ev *sparse.Events
 			if xEv != nil && sparseGrad {
 				// Replay: rebuild this sample's im2col event pattern straight
@@ -471,12 +536,12 @@ func (l *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				// blocks of the weight pattern (bit-identical accumulation;
 				// each vals[p] is owned by one worker).
 				if ev != nil {
-					sparse.CSRGradABTEventsInto(valLocal, wcsr, dyb, ev, kernelWorkers)
+					sparse.CSRGradABTEventsInto(g.vals, wcsr, dyb, ev, kernelWorkers)
 				} else {
-					sparse.CSRGradABTInto(valLocal, wcsr, dyb, colT, kernelWorkers)
+					sparse.CSRGradABTInto(g.vals, wcsr, dyb, colT, kernelWorkers)
 				}
 			} else {
-				tensor.MatMulABTSerialInto(dwLocal, dyb, colT, true)
+				tensor.MatMulABTSerialInto(g.dw, dyb, colT, g.add)
 			}
 			if wcsr != nil {
 				sparse.CSRMatMulATBSerialInto(dcolT, wcsr, dyb, false)
@@ -484,13 +549,17 @@ func (l *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				tensor.MatMulATBSerialInto(dcolT, wmat, dyb, false)
 			}
 			tensor.Col2Im(dx.Data[bi*chw:(bi+1)*chw], dcol, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
-			if dbLocal != nil {
+			if g.db != nil {
 				for f := 0; f < l.OutC; f++ {
 					var s float32
 					for _, v := range dyb.Data[f*p : (f+1)*p] {
 						s += v
 					}
-					dbLocal[f] += s
+					if g.add {
+						g.db[f] += s
+					} else {
+						g.db[f] = s
+					}
 				}
 			}
 		}
@@ -551,7 +620,7 @@ func (l *Conv2d) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
 		kernelWorkers = sparse.EffectiveWorkers(wcsr.Rows)
 	}
 
-	l.parallelGrad(b, ckk, wcsr, true, func(lo, hi int, _ *tensor.Tensor, valLocal, dbLocal []float32) {
+	l.parallelGrad(b, ckk, T*l.OutC*ckk*p, wcsr, true, func(lo, hi int, dst func(int) gradDst) {
 		rowPtrs := make([][]int32, T)
 		evIdxs := make([][]int32, T)
 		evs := make([]*sparse.Events, T)
@@ -562,6 +631,7 @@ func (l *Conv2d) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
 		dcolF := tensor.New(ckk, T*p)
 		dcol := make([]float32, ckk*p)
 		for bi := lo; bi < hi; bi++ {
+			g := dst(bi)
 			for t := 0; t < T; t++ {
 				flat := recs[t].ColIdx[recs[t].RowPtr[bi]:recs[t].RowPtr[bi+1]]
 				evIdxs[t] = tensor.Im2ColPatternFromEvents(flat, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow, rowPtrs[t], evIdxs[t][:0])
@@ -574,7 +644,7 @@ func (l *Conv2d) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
 				}
 			}
 			evF := sparse.FuseTimesteps(evs)
-			sparse.CSRGradABTEventsInto(valLocal, wcsr, dyF, evF, kernelWorkers)
+			sparse.CSRGradABTEventsInto(g.vals, wcsr, dyF, evF, kernelWorkers)
 			sparse.CSRMatMulATBSerialInto(dcolF, wcsr, dyF, false)
 			for t := 0; t < T; t++ {
 				for cc := 0; cc < ckk; cc++ {
@@ -582,13 +652,17 @@ func (l *Conv2d) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
 				}
 				tensor.Col2Im(dxs[t].Data[bi*chw:(bi+1)*chw], dcol, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
 			}
-			if dbLocal != nil {
+			if g.db != nil {
 				for f := 0; f < l.OutC; f++ {
 					var s float32
 					for _, v := range dyF.Data[f*T*p : (f+1)*T*p] {
 						s += v
 					}
-					dbLocal[f] += s
+					if g.add {
+						g.db[f] += s
+					} else {
+						g.db[f] = s
+					}
 				}
 			}
 		}

@@ -685,6 +685,10 @@ func (s *Server) runBatch(batch []*request, t0 time.Time, ds *dispatchScratch) {
 			s.pushTrace(ds, live[0], t0, tStart, computeNS, len(live))
 		}
 	}
+	// Count the pass before delivering: a caller that reads Stats after its
+	// answer arrives must already see the batch that carried it.
+	s.batches.Add(1)
+	s.batched.Add(int64(len(live)))
 	faultDeliver.Fire()
 	for i, r := range live {
 		if cerr := r.ctx.Err(); cerr != nil {
@@ -697,6 +701,4 @@ func (s *Server) runBatch(batch []*request, t0 time.Time, ds *dispatchScratch) {
 			r.done <- response{scores: outs[i]}
 		}
 	}
-	s.batches.Add(1)
-	s.batched.Add(int64(len(live)))
 }

@@ -3,6 +3,7 @@ package snn_test
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"ndsnn/internal/layers"
@@ -150,6 +151,7 @@ func TestTapeMatchesGoldenFixtures(t *testing.T) {
 	oldD, oldR := layers.CSRMaxDensity, layers.EventMaxRate
 	layers.CSRMaxDensity, layers.EventMaxRate = 1, 1
 	defer func() { layers.CSRMaxDensity, layers.EventMaxRate = oldD, oldR }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	const seed = uint64(97)
 	for _, kind := range []string{"plain", "residual"} {
@@ -175,21 +177,27 @@ func TestTapeMatchesGoldenFixtures(t *testing.T) {
 			// Sparse-grad mode skips masked-out positions entirely (they stay
 			// zero), so it is compared against the mask-projected fixture —
 			// equivalence at every position the mode promises to compute.
-			for _, sparseGrad := range []bool{false, true} {
-				for _, events := range []bool{false, true} {
-					label := fmt.Sprintf("%s/hard=%v/sparseGrad=%v/events=%v", kind, hardReset, sparseGrad, events)
-					old := tape.CacheEvents
-					tape.CacheEvents = events
-					net := buildEquivNet(seed, kind, hardReset)
-					outs, grads := runEquivNet(net, seed, sparseGrad)
-					tape.CacheEvents = old
-					ref := want
-					if sparseGrad {
-						ref = maskGrads(want, net.Params())
-					}
-					testutil.CompareFixture(t, label, ref, equivTensors(outs, grads, net.Params()), 1e-5)
-					for _, p := range net.Params() {
-						p.InvalidateCSR()
+			// The fixtures were recorded on one CPU; sweeping the thread
+			// budget here lets a 1-CPU runner catch a gradient reduction whose
+			// order depends on it.
+			for _, procs := range []int{1, 2, 4, 8} {
+				runtime.GOMAXPROCS(procs)
+				for _, sparseGrad := range []bool{false, true} {
+					for _, events := range []bool{false, true} {
+						label := fmt.Sprintf("%s/hard=%v/sparseGrad=%v/events=%v/GOMAXPROCS=%d", kind, hardReset, sparseGrad, events, procs)
+						old := tape.CacheEvents
+						tape.CacheEvents = events
+						net := buildEquivNet(seed, kind, hardReset)
+						outs, grads := runEquivNet(net, seed, sparseGrad)
+						tape.CacheEvents = old
+						ref := want
+						if sparseGrad {
+							ref = maskGrads(want, net.Params())
+						}
+						testutil.CompareFixture(t, label, ref, equivTensors(outs, grads, net.Params()), 1e-5)
+						for _, p := range net.Params() {
+							p.InvalidateCSR()
+						}
 					}
 				}
 			}
