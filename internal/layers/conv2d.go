@@ -86,41 +86,49 @@ func (l *Conv2d) forwardSample(yb *tensor.Tensor, src []float32, c, h, w, oh, ow
 	wmat *tensor.Tensor, wcsr *sparse.CSR, wcsc *sparse.CSC, wbands *sparse.CSCBands, s *convScratch,
 	tally *metrics.EventStats, maxRate float64) {
 	p := oh * ow
-	ckk := c * l.K * l.K
 	tally.Forwards++
-	eventDone := false
-	if wcsr != nil {
+	if wcsr == nil {
+		tensor.Im2Col(s.col, src, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
+		tensor.MatMulSerialInto(yb, wmat, s.colT, false)
+	} else {
 		var binary bool
 		s.evIdx, binary = tensor.Im2ColEvents(s.col, src, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow, s.rowPtr, s.evIdx[:0])
-		if binary {
-			ev := sparse.Events{Rows: ckk, Cols: p, RowPtr: s.rowPtr, ColIdx: s.evIdx}
-			tally.Entries += int64(ckk * p)
-			tally.ActiveEntries += int64(ev.NNZ())
-			tally.Cols += int64(p)
-			tally.ActiveCols += countActiveCols(s.evIdx, s.colSeen)
-			// maxRate > 0 keeps the documented kill switch honest: at 0, even
-			// all-zero (occupancy 0) inputs stay on the weight-only path.
-			if maxRate > 0 && ev.Occupancy() <= maxRate {
-				if wbands != nil {
-					sparse.CSCMatMulEventsInto(yb, wbands, &ev, false)
-				} else {
-					sparse.CSCMatMulEventsSerialInto(yb, wcsc, &ev, false)
-				}
-				tally.EventForwards++
-				eventDone = true
-			}
-		}
-	} else {
-		tensor.Im2Col(s.col, src, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
-	}
-	if !eventDone {
-		if wcsr != nil {
+		ev := sparse.Events{Rows: c * l.K * l.K, Cols: p, RowPtr: s.rowPtr, ColIdx: s.evIdx}
+		if !binary || !eventForward(yb, &ev, wcsc, wbands, s.colSeen, tally, maxRate) {
 			sparse.CSRMatMulSerialInto(yb, wcsr, s.colT, false)
-		} else {
-			tensor.MatMulSerialInto(yb, wmat, s.colT, false)
 		}
 	}
 	l.addBias(yb, p)
+}
+
+// eventForward tallies one binary sample-timestep's im2col pattern ev and,
+// when its occupancy is at most maxRate, computes yb = W·ev on the event
+// kernel (banded when wbands is non-nil). It reports whether it did; if not,
+// the caller runs the weight-only CSR GEMM. maxRate > 0 keeps the documented
+// kill switch honest: at 0, even all-zero (occupancy 0) inputs stay on the
+// weight-only path.
+func eventForward(yb *tensor.Tensor, ev *sparse.Events, wcsc *sparse.CSC, wbands *sparse.CSCBands,
+	seen []bool, tally *metrics.EventStats, maxRate float64) bool {
+	tallyEvents(tally, ev, seen)
+	if maxRate <= 0 || ev.Occupancy() > maxRate {
+		return false
+	}
+	if wbands != nil {
+		sparse.CSCMatMulEventsInto(yb, wbands, ev, false)
+	} else {
+		sparse.CSCMatMulEventsSerialInto(yb, wcsc, ev, false)
+	}
+	tally.EventForwards++
+	return true
+}
+
+// tallyEvents adds one binary sample-timestep's im2col pattern to the
+// occupancy counters.
+func tallyEvents(tally *metrics.EventStats, ev *sparse.Events, seen []bool) {
+	tally.Entries += int64(ev.Rows * ev.Cols)
+	tally.ActiveEntries += int64(ev.NNZ())
+	tally.Cols += int64(ev.Cols)
+	tally.ActiveCols += countActiveCols(ev.ColIdx, seen)
 }
 
 func (l *Conv2d) addBias(yb *tensor.Tensor, p int) {
@@ -193,9 +201,11 @@ func (l *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // EventMaxRate), the T event patterns are merged with sparse.FuseTimesteps
 // and a single CSCMatMulEventsSerialInto computes all T products in one
 // traversal of the weight matrix — the batched-timestep GEMM, end-to-end.
-// Samples with analog or high-occupancy timesteps fall back to the same
-// per-timestep decisions Forward makes. Outputs are bit-identical to T
-// Forward calls, and the tape records the same per-timestep entries.
+// Binary samples above the fused rate make the per-timestep decisions
+// Forward makes on the patterns already built (one pattern build per
+// timestep); samples with an analog timestep run Forward's path. Outputs
+// and EventStats are identical to T Forward calls, and the tape records the
+// same per-timestep entries.
 func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 	T := len(xs)
 	if T == 0 {
@@ -278,10 +288,7 @@ func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 				for t := 0; t < T; t++ {
 					tally.Forwards++
 					tally.EventForwards++
-					tally.Entries += int64(ckk * p)
-					tally.ActiveEntries += int64(evs[t].NNZ())
-					tally.Cols += int64(p)
-					tally.ActiveCols += countActiveCols(evIdxs[t], s.colSeen)
+					tallyEvents(&tally, evs[t], s.colSeen)
 				}
 				fused := sparse.FuseTimesteps(evs)
 				if wbands != nil {
@@ -297,9 +304,21 @@ func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 					}
 					l.addBias(yb, p)
 				}
+			} else if fusable {
+				// Binary but too busy to fuse: Forward's per-timestep
+				// decisions, made on the pass-1 patterns. Only timesteps
+				// above the rate expand a column matrix, for the CSR GEMM.
+				for t := 0; t < T; t++ {
+					yb := tensor.FromSlice(outs[t].Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
+					tally.Forwards++
+					if !eventForward(yb, evs[t], wcsc, wbands, s.colSeen, &tally, maxRate) {
+						tensor.Im2Col(s.col, xs[t].Data[bi*chw:(bi+1)*chw], c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
+						sparse.CSRMatMulSerialInto(yb, wcsr, s.colT, false)
+					}
+					l.addBias(yb, p)
+				}
 			} else {
-				// Mixed or high-occupancy sample: per-timestep decisions,
-				// identical to Forward (which re-tallies from scratch).
+				// Analog sample: Forward's per-timestep path.
 				for t := 0; t < T; t++ {
 					src := xs[t].Data[bi*chw : (bi+1)*chw]
 					yb := tensor.FromSlice(outs[t].Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
@@ -468,12 +487,15 @@ func (l *Conv2d) parallelGrad(b, ckk, work int, wcsr *sparse.CSR, sparseGrad boo
 }
 
 // Backward computes input gradients and accumulates weight/bias gradients
-// for the most recent cached timestep, replaying the tape: an event-encoded
-// record rebuilds the im2col event pattern straight from the recorded
-// spikes, and when active-position-only gradients are allowed the weight
-// gradient consumes the pattern directly (CSRGradABTEventsSerial), skipping
-// zero-spike rows — backward-weight work then scales with
-// weightDensity × spikeOccupancy like the forward pass.
+// for the most recent cached timestep, replaying the tape. An event-encoded
+// record rebuilds the im2col event pattern straight from the recorded spikes
+// and never expands a column matrix: with active-position-only gradients the
+// weight gradient is the events SDDMM (CSRGradABTEventsInto), otherwise —
+// the growth steps, which need every weight's gradient — it is
+// dW[f,r] = Σ_{j∈ev(r)} dy[f,j] (GradABTEventsDenseInto), bit-identical to
+// the dense GEMM over the decoded column matrix. Either way backward-weight
+// work scales with spike occupancy like the forward pass. Dense records
+// (analog inputs) expand with Im2Col for the dense-operand kernels.
 func (l *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	rec := l.xs.Pop()
 	shape := rec.Shape()
@@ -498,50 +520,39 @@ func (l *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 
 	l.parallelGrad(b, ckk, l.OutC*ckk*p, wcsr, sparseGrad, func(lo, hi int, dst func(int) gradDst) {
-		col := make([]float32, ckk*p)
-		colT := tensor.FromSlice(col, ckk, p)
 		dcol := make([]float32, ckk*p)
 		dcolT := tensor.FromSlice(dcol, ckk, p)
-		var xbuf []float32
+		var colT *tensor.Tensor
 		var rowPtr, evIdx []int32
 		if xEv != nil {
 			rowPtr = make([]int32, ckk+1)
-			if !sparseGrad {
-				xbuf = make([]float32, chw)
-			}
+		} else {
+			colT = tensor.New(ckk, p)
 		}
 		for bi := lo; bi < hi; bi++ {
 			g := dst(bi)
-			var ev *sparse.Events
-			if xEv != nil && sparseGrad {
+			dyb := tensor.FromSlice(dy.Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
+			if xEv != nil {
 				// Replay: rebuild this sample's im2col event pattern straight
 				// from the recorded input-space events — O(K²·nnz), no dense
-				// expansion; the events SDDMM below never reads the column
-				// matrix.
+				// expansion. kernelWorkers > 1 fans the SDDMM out over
+				// nnz-balanced row blocks of the weight pattern (each vals[p]
+				// is owned by one worker, bit-identical accumulation).
 				flat := xEv.ColIdx[xEv.RowPtr[bi]:xEv.RowPtr[bi+1]]
 				evIdx = tensor.Im2ColPatternFromEvents(flat, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow, rowPtr, evIdx[:0])
-				ev = &sparse.Events{Rows: ckk, Cols: p, RowPtr: rowPtr, ColIdx: evIdx}
-			} else if xEv != nil {
-				// Dense weight gradients need the full column matrix: decode
-				// the sample's spikes, expand, erase in O(nnz).
-				xEv.ScatterRowInto(bi, xbuf, 1)
-				tensor.Im2Col(col, xbuf, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
-				xEv.ScatterRowInto(bi, xbuf, 0)
-			} else {
-				tensor.Im2Col(col, xDense.Data[bi*chw:(bi+1)*chw], c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
-			}
-			dyb := tensor.FromSlice(dy.Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
-			if sparseGrad {
-				// kernelWorkers > 1 fans the SDDMM out over nnz-balanced row
-				// blocks of the weight pattern (bit-identical accumulation;
-				// each vals[p] is owned by one worker).
-				if ev != nil {
+				ev := &sparse.Events{Rows: ckk, Cols: p, RowPtr: rowPtr, ColIdx: evIdx}
+				if sparseGrad {
 					sparse.CSRGradABTEventsInto(g.vals, wcsr, dyb, ev, kernelWorkers)
 				} else {
-					sparse.CSRGradABTInto(g.vals, wcsr, dyb, colT, kernelWorkers)
+					sparse.GradABTEventsDenseInto(g.dw, dyb, ev, g.add)
 				}
 			} else {
-				tensor.MatMulABTSerialInto(g.dw, dyb, colT, g.add)
+				tensor.Im2Col(colT.Data, xDense.Data[bi*chw:(bi+1)*chw], c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
+				if sparseGrad {
+					sparse.CSRGradABTInto(g.vals, wcsr, dyb, colT, kernelWorkers)
+				} else {
+					tensor.MatMulABTSerialInto(g.dw, dyb, colT, g.add)
+				}
 			}
 			if wcsr != nil {
 				sparse.CSRMatMulATBSerialInto(dcolT, wcsr, dyb, false)

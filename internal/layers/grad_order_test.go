@@ -14,10 +14,11 @@ import (
 // TestConv2dGradBitIdenticalAcrossGOMAXPROCS pins the conv weight-gradient
 // reduction order: Backward and BackwardSeq must produce bit-identical weight,
 // bias and input gradients under any thread budget, on every backward path —
-// dense GEMM, CSR backward-data with dense weight gradients, the
-// active-position-only SDDMM over dense and event-encoded records, and the
-// fused time-major event replay — with and without bias, for batches both
-// wider and narrower than the worker count.
+// dense GEMM, dense weight gradients from event-encoded records (dense or
+// CSR weights, through Backward and BackwardSeq), CSR backward-data with
+// dense weight gradients, the active-position-only SDDMM over dense and
+// event-encoded records, and the fused time-major event replay — with and
+// without bias, for batches both wider and narrower than the worker count.
 func TestConv2dGradBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	const T = 3
 	paths := []struct {
@@ -29,8 +30,10 @@ func TestConv2dGradBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}{
 		{"dense", false, false, false, false},
 		{"dense-events", false, false, true, false},
+		{"dense-events-seq", false, false, true, true},
 		{"csr", true, false, false, false},
 		{"csr-events", true, false, true, false},
+		{"csr-events-seq", true, false, true, true},
 		{"sparse-grad", true, true, false, false},
 		{"sparse-grad-events", true, true, true, false},
 		{"fused-events", true, true, true, true},

@@ -85,6 +85,7 @@ type LIF struct {
 	// the dense footprint), smooth-mode outputs stay dense automatically.
 	os    tape.Stack
 	gNext *tensor.Tensor // ε[t+1] carried between Backward calls
+	zeros []float32      // ε[t+1] of the last timestep, read-only
 
 	spikeSum   float64
 	spikeElems int64
@@ -97,34 +98,40 @@ func (l *LIF) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		l.oPrev = tensor.New(x.Shape()...)
 	}
 	cfg := l.Config
-	sur := cfg.surrogate()
+	alpha, theta := cfg.Alpha, cfg.Threshold
 	vNew := tensor.New(x.Shape()...)
 	out := tensor.New(x.Shape()...)
-	vd, od, xd := vNew.Data, out.Data, x.Data
-	pv, po := l.v.Data, l.oPrev.Data
-	integrate := func(i int) float32 {
-		if cfg.HardReset {
-			return cfg.Alpha*pv[i]*(1-po[i]) + xd[i]
-		}
-		return cfg.Alpha*pv[i] + xd[i] - cfg.Threshold*po[i]
-	}
-	var sum float64
-	if l.Smooth {
-		for i := range xd {
-			v := integrate(i)
+	xd := x.Data
+	vd, od := vNew.Data[:len(xd)], out.Data[:len(xd)]
+	pv, po := l.v.Data[:len(xd)], l.oPrev.Data[:len(xd)]
+	spikes := 0
+	if cfg.HardReset {
+		for i, xi := range xd {
+			v := alpha*pv[i]*(1-po[i]) + xi
 			vd[i] = v
-			o := sur.Primitive(v - cfg.Threshold)
-			od[i] = o
-			sum += float64(o)
+			if v >= theta {
+				od[i] = 1
+				spikes++
+			}
 		}
 	} else {
-		for i := range xd {
-			v := integrate(i)
+		for i, xi := range xd {
+			v := alpha*pv[i] + xi - theta*po[i]
 			vd[i] = v
-			if v >= cfg.Threshold {
+			if v >= theta {
 				od[i] = 1
-				sum++
+				spikes++
 			}
+		}
+	}
+	sum := float64(spikes)
+	if l.Smooth {
+		sur := cfg.surrogate()
+		sum = 0
+		for i, v := range vd {
+			o := sur.Primitive(v - theta)
+			od[i] = o
+			sum += float64(o)
 		}
 	}
 	l.spikeSum += sum
@@ -148,40 +155,52 @@ func (l *LIF) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	v := l.vs[len(l.vs)-1]
 	l.vs = l.vs[:len(l.vs)-1]
 	cfg := l.Config
-	sur := cfg.surrogate()
+	alpha, theta := cfg.Alpha, cfg.Threshold
 	g := tensor.New(dy.Shape()...)
-	gd, dyd, vd := g.Data, dy.Data, v.Data
+	dyd := dy.Data
+	gd, vd := g.Data[:len(dyd)], v.Data[:len(dyd)]
+	// ε[t+1]; the last timestep (nothing carried) reads zeros, so every
+	// configuration runs one loop with the same arithmetic.
 	var gn []float32
 	if l.gNext != nil && l.gNext.Size() == dy.Size() {
 		gn = l.gNext.Data
+	} else {
+		if cap(l.zeros) < len(dyd) {
+			l.zeros = make([]float32, len(dyd))
+		}
+		gn = l.zeros
 	}
-	var od []float32
-	if cfg.HardReset {
+	gn = gn[:len(dyd)]
+	// gd holds φ(v[t]-ϑ) until each element is overwritten with ε[t].
+	cfg.surrogate().GradInto(gd, vd, theta)
+	switch {
+	case cfg.HardReset:
+		// v[t+1] = α·v[t]·(1-o[t]) + I[t+1]: the membrane path decays by
+		// α(1-o[t]) and, when the reset is not detached, o[t] additionally
+		// receives -α·v[t]·ε[t+1].
 		if l.os.Len() == 0 {
 			panic("snn: hard-reset LIF missing cached outputs")
 		}
-		od = l.os.Pop().Materialize().Data
-	}
-	for i := range dyd {
-		do := dyd[i]
-		var next float32
-		if gn != nil {
-			next = gn[i]
-		}
-		decay := cfg.Alpha
-		if cfg.HardReset {
-			// v[t+1] = α·v[t]·(1-o[t]) + I[t+1]: the membrane path decays
-			// by α(1-o[t]) and, when the reset is not detached, o[t]
-			// additionally receives -α·v[t]·ε[t+1].
-			decay *= 1 - od[i]
-			if !cfg.DetachReset {
-				do -= cfg.Alpha * vd[i] * next
+		od := l.os.Pop().Materialize().Data[:len(dyd)]
+		if cfg.DetachReset {
+			for i, phi := range gd {
+				gd[i] = dyd[i]*phi + alpha*(1-od[i])*gn[i]
 			}
-		} else if !cfg.DetachReset {
-			do -= cfg.Threshold * next
+		} else {
+			for i, phi := range gd {
+				next := gn[i]
+				gd[i] = (dyd[i]-alpha*vd[i]*next)*phi + alpha*(1-od[i])*next
+			}
 		}
-		phi := sur.Grad(vd[i] - cfg.Threshold)
-		gd[i] = do*phi + decay*next
+	case cfg.DetachReset:
+		for i, phi := range gd {
+			gd[i] = dyd[i]*phi + alpha*gn[i]
+		}
+	default:
+		for i, phi := range gd {
+			next := gn[i]
+			gd[i] = (dyd[i]-theta*next)*phi + alpha*next
+		}
 	}
 	l.gNext = g
 	return g

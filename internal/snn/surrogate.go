@@ -23,6 +23,10 @@ import "math"
 type Surrogate interface {
 	// Grad evaluates the surrogate derivative at x = v - ϑ.
 	Grad(x float32) float32
+	// GradInto sets dst[i] = Grad(v[i] - theta) for every i — the slice
+	// form the LIF backward calls once per timestep instead of Grad per
+	// element. dst and v must have the same length.
+	GradInto(dst, v []float32, theta float32)
 	// Primitive evaluates the smooth activation whose derivative is Grad.
 	Primitive(x float32) float32
 	// Name identifies the surrogate in logs and ablation tables.
@@ -37,6 +41,13 @@ type ATan struct{}
 func (ATan) Grad(x float32) float32 {
 	px := math.Pi * float64(x)
 	return float32(1 / (1 + px*px))
+}
+
+// GradInto sets dst[i] = Grad(v[i] - theta).
+func (s ATan) GradInto(dst, v []float32, theta float32) {
+	for i, vi := range v[:len(dst)] {
+		dst[i] = s.Grad(vi - theta)
+	}
 }
 
 // Primitive returns arctan(πx)/π + 1/2.
@@ -67,6 +78,13 @@ func (s Rectangular) Grad(x float32) float32 {
 		return 1 / (2 * a)
 	}
 	return 0
+}
+
+// GradInto sets dst[i] = Grad(v[i] - theta).
+func (s Rectangular) GradInto(dst, v []float32, theta float32) {
+	for i, vi := range v[:len(dst)] {
+		dst[i] = s.Grad(vi - theta)
+	}
 }
 
 // Primitive returns the clamped ramp.
@@ -103,6 +121,13 @@ func (s Sigmoid) Grad(x float32) float32 {
 	a := s.a()
 	sg := 1 / (1 + float32(math.Exp(-float64(x/a))))
 	return sg * (1 - sg) / a
+}
+
+// GradInto sets dst[i] = Grad(v[i] - theta).
+func (s Sigmoid) GradInto(dst, v []float32, theta float32) {
+	for i, vi := range v[:len(dst)] {
+		dst[i] = s.Grad(vi - theta)
+	}
 }
 
 // Primitive returns σ(x/a).

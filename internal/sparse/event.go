@@ -37,8 +37,8 @@ func (e *Events) NNZ() int { return len(e.ColIdx) }
 // ScatterRowInto sets dst[j] = v at every active column j of row r, leaving
 // other entries untouched. With v=1 over a zeroed buffer it decodes one row
 // of the binary matrix; calling again with v=0 erases exactly what was
-// written, which is how tape replay reuses one scratch row across a batch in
-// O(nnz) instead of re-zeroing the whole buffer.
+// written, so one scratch row can be reused across a batch in O(nnz)
+// instead of re-zeroing the whole buffer.
 func (e *Events) ScatterRowInto(r int, dst []float32, v float32) {
 	for _, j := range e.ColIdx[e.RowPtr[r]:e.RowPtr[r+1]] {
 		dst[j] = v
@@ -223,9 +223,13 @@ func StackTimesteps(evs []*Events) *Events {
 // nnz(pattern) × spike occupancy instead of nnz(pattern) × q. Rows of the
 // pattern with zero recorded spikes are skipped entirely. Contributions
 // arrive in ascending-j order (the dense kernel's summation order, minus its
-// exact-zero terms), so results match the dense path within float rounding.
-// a is [pattern.Rows, q]; evB is [pattern.Cols, q]. Serial because the conv
-// layer parallelizes across the batch.
+// b=0 terms). For finite a those terms are ±0, and adding ±0 never changes a
+// sum that starts at +0 (under round-to-nearest x + (−x) is +0, so the sum is
+// never −0), so each position's sum equals CSRGradABTSerial's exactly; a
+// position with no recorded events skips its vals[p] += +0, which differs
+// only where vals[p] holds −0. a is [pattern.Rows, q]; evB is
+// [pattern.Cols, q]. Serial because the conv layer parallelizes across the
+// batch.
 func CSRGradABTEventsSerial(vals []float32, pattern *CSR, a *tensor.Tensor, evB *Events) {
 	am, q := dims2(a, "CSRGradABTEvents a")
 	if am != pattern.Rows {
@@ -238,6 +242,64 @@ func CSRGradABTEventsSerial(vals []float32, pattern *CSR, a *tensor.Tensor, evB 
 		panic(fmt.Sprintf("sparse: CSRGradABTEvents vals length %d, want %d", len(vals), pattern.NNZ()))
 	}
 	csrGradABTEventsRows(vals, pattern, a.Data, q, evB, 0, pattern.Rows)
+}
+
+// GradABTEventsDenseInto computes dst = a·bᵀ (or += when accumulate) with
+// the binary b given as its event pattern — the dense-gradient form of the
+// conv weight gradient, dW[f,r] = Σ_{j∈ev(r)} dy[f,j], for steps that need
+// every weight's gradient (growth steps) rather than only the live ones.
+// Every element sums its events in ascending j from +0: the order of
+// tensor.MatMulABTSerialInto on the decoded b, minus its b=0 terms, which
+// for finite a are ±0 and cannot change such a sum (see
+// CSRGradABTEventsSerial). The result is therefore bit-identical to the
+// dense GEMM for finite a, and a row without events still writes (or adds)
+// its +0. a is [m, q]; evB is [n, q]; dst is [m, n]. Serial because the
+// conv layer parallelizes across the batch.
+func GradABTEventsDenseInto(dst, a *tensor.Tensor, evB *Events, accumulate bool) {
+	m, q := dims2(a, "GradABTEventsDense a")
+	dm, n := dims2(dst, "GradABTEventsDense dst")
+	if dm != m || evB.Rows != n || evB.Cols != q {
+		panic(fmt.Sprintf("sparse: GradABTEventsDense dst [%d,%d], a [%d,%d], events [%d,%d]", dm, n, m, q, evB.Rows, evB.Cols))
+	}
+	ad, od := a.Data, dst.Data
+	// Four rows of a share each event's index load and keep four
+	// independent sums in flight; every element's order is unchanged.
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		a0, a1, a2, a3 := ad[i*q:(i+1)*q], ad[(i+1)*q:(i+2)*q], ad[(i+2)*q:(i+3)*q], ad[(i+3)*q:(i+4)*q]
+		o0, o1, o2, o3 := od[i*n:(i+1)*n], od[(i+1)*n:(i+2)*n], od[(i+2)*n:(i+3)*n], od[(i+3)*n:(i+4)*n]
+		for r := 0; r < n; r++ {
+			var s0, s1, s2, s3 float32
+			for _, j := range evB.ColIdx[evB.RowPtr[r]:evB.RowPtr[r+1]] {
+				s0 += a0[j]
+				s1 += a1[j]
+				s2 += a2[j]
+				s3 += a3[j]
+			}
+			if accumulate {
+				o0[r] += s0
+				o1[r] += s1
+				o2[r] += s2
+				o3[r] += s3
+			} else {
+				o0[r], o1[r], o2[r], o3[r] = s0, s1, s2, s3
+			}
+		}
+	}
+	for ; i < m; i++ {
+		arow, orow := ad[i*q:(i+1)*q], od[i*n:(i+1)*n]
+		for r := 0; r < n; r++ {
+			var s float32
+			for _, j := range evB.ColIdx[evB.RowPtr[r]:evB.RowPtr[r+1]] {
+				s += arow[j]
+			}
+			if accumulate {
+				orow[r] += s
+			} else {
+				orow[r] = s
+			}
+		}
+	}
 }
 
 // CSRGradATBEventsInto is CSRGradATBInto with the b operand given as the

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"testing"
 
 	"ndsnn/internal/rng"
@@ -236,6 +237,56 @@ func TestMatMulDenseCSRTMaskedMatchesDense(t *testing.T) {
 		MatMulDenseCSRTMaskedInto(got, x, c, colActive, false)
 		if d := maxAbsDiffT(want, got); d != 0 {
 			t.Fatalf("rate %v: masked linear kernel differs by %v", rate, d)
+		}
+	}
+}
+
+// TestGradABTEventsDenseMatchesDenseGEMM pins the growth-step weight-gradient
+// kernel bit-identical to tensor.MatMulABTSerialInto over the decoded binary
+// operand: rows of a with ±0 entries, event rows with no events (rate 0 and
+// sparse patterns), every row count around the four-row blocking, and
+// accumulate on and off over a destination holding ±0 and ordinary values.
+func TestGradABTEventsDenseMatchesDenseGEMM(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	for _, m := range []int{1, 3, 4, 5, 8, 9} {
+		for _, rate := range []float64{0, 0.03, 0.3, 1} {
+			for _, accumulate := range []bool{false, true} {
+				r := rng.New(uint64(701 + m*13 + int(rate*100)))
+				const n, q = 11, 17
+				a := tensor.New(m, q)
+				for i := range a.Data {
+					switch i % 5 {
+					case 1:
+						a.Data[i] = 0
+					case 3:
+						a.Data[i] = negZero
+					default:
+						a.Data[i] = r.NormFloat32()
+					}
+				}
+				b := spikeMatrix(n, q, rate, r)
+				ev, ok := EncodeEvents(b)
+				if !ok {
+					t.Fatal("EncodeEvents rejected a binary matrix")
+				}
+				want := tensor.New(m, n)
+				for i := range want.Data {
+					switch i % 3 {
+					case 0:
+						want.Data[i] = negZero
+					case 1:
+						want.Data[i] = r.NormFloat32()
+					}
+				}
+				got := want.Clone()
+				tensor.MatMulABTSerialInto(want, a, b, accumulate)
+				GradABTEventsDenseInto(got, a, ev, accumulate)
+				for i := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("m=%d rate=%v accumulate=%v: dst[%d] = %v, dense GEMM %v", m, rate, accumulate, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
 		}
 	}
 }

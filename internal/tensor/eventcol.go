@@ -61,7 +61,12 @@ func Im2ColOccupancy(dst, src []float32, c, h, w, kh, kw, stride, pad, oh, ow in
 // This is the tape-replay fast path: work is O(KH·KW·nnz) instead of the
 // O(C·KH·KW·OH·OW) dense expansion, so rebuilding a timestep's pattern costs
 // ~occupancy of what the forward paid. The output is identical to what
-// Im2ColEvents would produce for the decoded tensor (pinned by test).
+// Im2ColEvents would produce for the decoded tensor (pinned by test and by
+// FuzzIm2ColPatternFromEvents).
+//
+// Spikes ascend in (iy,ix), so each pass over a channel's spikes tracks the
+// input row incrementally instead of dividing every index by W, and the
+// emitted output columns j = oy·OW+ox ascend too — the CSR invariant.
 func Im2ColPatternFromEvents(flat []int32, c, h, w, kh, kw, stride, pad, oh, ow int, rowPtr []int32, colIdx []int32) []int32 {
 	if len(rowPtr) != c*kh*kw+1 {
 		panic("tensor: Im2ColPatternFromEvents rowPtr length mismatch")
@@ -76,35 +81,93 @@ func Im2ColPatternFromEvents(flat []int32, c, h, w, kh, kw, stride, pad, oh, ow 
 			end++
 		}
 		spikes := flat[start:end]
-		for ki := 0; ki < kh; ki++ {
-			for kj := 0; kj < kw; kj++ {
-				r := (ci*kh+ki)*kw + kj
-				// Spikes ascend in (iy,ix), so the emitted output columns
-				// j = oy·OW+ox ascend too — the CSR invariant.
-				for _, f := range spikes {
-					rel := int(f - chanBase)
-					iy := rel / w
-					ix := rel - iy*w
-					ty := iy + pad - ki
-					tx := ix + pad - kj
-					if ty < 0 || tx < 0 {
-						continue
-					}
-					if stride != 1 && (ty%stride != 0 || tx%stride != 0) {
-						continue
-					}
-					oy := ty / stride
-					ox := tx / stride
-					if oy < oh && ox < ow {
-						colIdx = append(colIdx, int32(oy*ow+ox))
-					}
-				}
+		r0 := ci * kh * kw
+		if len(spikes) == 0 {
+			for r := r0; r < r0+kh*kw; r++ {
 				rowPtr[r+1] = int32(len(colIdx))
+			}
+		} else {
+			for ki := 0; ki < kh; ki++ {
+				for kj := 0; kj < kw; kj++ {
+					if stride == 1 {
+						colIdx = patternRowStride1(colIdx, spikes, chanBase, w, pad-ki, pad-kj, oh, ow)
+					} else {
+						colIdx = patternRowStrided(colIdx, spikes, chanBase, w, stride, pad-ki, pad-kj, oh, ow)
+					}
+					rowPtr[r0+ki*kw+kj+1] = int32(len(colIdx))
+				}
 			}
 		}
 		start = end
 	}
 	return colIdx
+}
+
+// patternRowStride1 appends one im2col row's active output columns for a
+// stride-1 kernel offset: input (iy,ix) lands on output (iy+dy, ix+dx).
+// spikes are one channel's ascending flat indices, chanBase its first index.
+func patternRowStride1(colIdx, spikes []int32, chanBase int32, w, dy, dx, oh, ow int) []int32 {
+	w32 := int32(w)
+	rowLo, oy := chanBase, dy // flat index of input row iy's first pixel; iy+dy
+	for _, f := range spikes {
+		for f-rowLo >= w32 {
+			rowLo += w32
+			oy++
+		}
+		if oy >= oh {
+			break // later spikes sit on this row or below
+		}
+		if oy < 0 {
+			continue
+		}
+		if ox := int(f-rowLo) + dx; ox >= 0 && ox < ow {
+			colIdx = append(colIdx, int32(oy*ow+ox))
+		}
+	}
+	return colIdx
+}
+
+// patternRowStrided is patternRowStride1 for stride > 1: input (iy,ix) lands
+// on output ((iy+dy)/stride, (ix+dx)/stride) when both divide exactly. The
+// row test runs once per input row, the column test once per spike.
+func patternRowStrided(colIdx, spikes []int32, chanBase int32, w, stride, dy, dx, oh, ow int) []int32 {
+	w32 := int32(w)
+	rowLo, ty := chanBase, dy // ty = iy+dy
+	rowBase, rowOK := rowOutBase(ty, stride, oh, ow)
+	for _, f := range spikes {
+		if f-rowLo >= w32 {
+			for f-rowLo >= w32 {
+				rowLo += w32
+				ty++
+			}
+			if ty >= oh*stride {
+				break // no later spike reaches an output row
+			}
+			rowBase, rowOK = rowOutBase(ty, stride, oh, ow)
+		}
+		if !rowOK {
+			continue
+		}
+		tx := int(f-rowLo) + dx
+		if tx < 0 {
+			continue
+		}
+		ox := tx / stride
+		if ox*stride == tx && ox < ow {
+			colIdx = append(colIdx, int32(rowBase+ox))
+		}
+	}
+	return colIdx
+}
+
+// rowOutBase maps a padded input row ty to its output row's first column
+// index oy·OW, reporting whether ty lands on an output row at all.
+func rowOutBase(ty, stride, oh, ow int) (int, bool) {
+	if ty < 0 {
+		return 0, false
+	}
+	oy := ty / stride
+	return oy * ow, oy*stride == ty && oy < oh
 }
 
 // Im2ColEvents is Im2Col plus event extraction: while filling dst it appends

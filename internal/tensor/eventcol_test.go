@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 
 	"ndsnn/internal/rng"
@@ -173,5 +174,28 @@ func TestIm2ColEventsRejectsNonBinary(t *testing.T) {
 		if dst[i] != want[i] {
 			t.Fatalf("dst[%d] = %v, want %v after non-binary bail", i, dst[i], want[i])
 		}
+	}
+}
+
+// BenchmarkIm2ColPatternFromEvents rebuilds im2col event patterns on the
+// tiny-profile VGG-16 conv shapes (3×3, stride 1, pad 1) at a 15% spike
+// rate, the tape-replay and ForwardSeq pass-1 workload.
+func BenchmarkIm2ColPatternFromEvents(b *testing.B) {
+	for _, g := range []struct{ c, hw int }{{4, 16}, {8, 8}, {16, 4}, {32, 2}} {
+		b.Run(fmt.Sprintf("c%d_%dx%d", g.c, g.hw, g.hw), func(b *testing.B) {
+			src := spikeInput(g.c, g.hw, g.hw, 0.15, rng.New(5))
+			var flat []int32
+			for i, v := range src {
+				if v != 0 {
+					flat = append(flat, int32(i))
+				}
+			}
+			rowPtr := make([]int32, g.c*9+1)
+			var colIdx []int32
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				colIdx = Im2ColPatternFromEvents(flat, g.c, g.hw, g.hw, 3, 3, 1, 1, g.hw, g.hw, rowPtr, colIdx[:0])
+			}
+		})
 	}
 }
